@@ -250,6 +250,10 @@ type Index struct {
 	// so a running compaction suppresses new triggers.
 	compactMu   sync.Mutex
 	compactions atomic.Uint64
+	// foldMu admits one background fold of the delta runs at a time (see
+	// maybeFold); folds counts the folds that landed.
+	foldMu sync.Mutex
+	folds  atomic.Uint64
 	// liveCount is the number of currently live polygons; idSpace the
 	// number of ids ever assigned (= len(sources) for mutable indexes).
 	// Atomics so the read paths can size join outputs without ix.mu.

@@ -159,6 +159,13 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 // TestDeltaEquivalenceProperty drives randomized mutation schedules and
 // checks, after every step, that merged base+delta lookups (and, after
 // compaction steps, the compacted base) equal a from-scratch rebuild.
+// Background folds are held off, so the checked state is exactly what the
+// schedule made it: a second random stream adds explicit fold steps after
+// some mutations — a fold, or a compaction and an insert while a fold is in
+// flight — without changing the mutation schedule itself. The check thus
+// sees the delta as many runs, with removed polygons' cells lingering in
+// them, as one folded run (which later removes hit), and right after a
+// stale fold was dropped.
 func TestDeltaEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test builds many indexes")
@@ -186,12 +193,14 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			act.HoldFolds(idx)
 			ls := &liveSet{polys: map[uint32]*act.Polygon{}}
 			for i, p := range base {
 				ls.polys[uint32(i)] = p
 			}
 			pts := randPoints(rng, pool, 90)
 			ctx := context.Background()
+			foldRng := rand.New(rand.NewSource(int64(700*width + trial)))
 
 			steps := 8 + rng.Intn(5)
 			for step := 0; step < steps; step++ {
@@ -219,6 +228,31 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 						t.Fatalf("step %d: compact: %v", step, err)
 					}
 				}
+				switch foldRng.Intn(6) {
+				case 0, 1:
+					act.ReleaseFolds(idx)
+					act.HoldFolds(idx)
+					if ds := idx.DeltaStats(); ds.Runs > 1 {
+						t.Fatalf("step %d: %d delta runs after a fold", step, ds.Runs)
+					}
+				case 2: // a compaction, and an insert if any is left, while a fold is in flight
+					landed, err := act.CompactDuringFold(ctx, idx, func() {
+						if len(inserts) > 0 {
+							id, err := idx.Insert(ctx, inserts[0])
+							if err != nil {
+								t.Fatalf("step %d: insert: %v", step, err)
+							}
+							ls.polys[id] = inserts[0]
+							inserts = inserts[1:]
+						}
+					})
+					if err != nil {
+						t.Fatalf("step %d: compact during fold: %v", step, err)
+					}
+					if landed {
+						t.Fatalf("step %d: a fold built before a compaction landed after it", step)
+					}
+				}
 				if idx.NumPolygons() != len(ls.polys) {
 					t.Fatalf("step %d: NumPolygons %d, live set %d", step, idx.NumPolygons(), len(ls.polys))
 				}
@@ -226,6 +260,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			}
 			// Final compaction must preserve results too, and must clear
 			// the pending counters.
+			act.ReleaseFolds(idx)
 			if err := idx.Compact(ctx); err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ package act
 // stripGeometry instead.
 
 import (
+	"context"
 	"io"
 
 	"github.com/actindex/act/internal/geostore"
@@ -44,4 +45,46 @@ func indexStats(ix *Index) BuildStats { return ix.live.Load().stats }
 func writeTrieBlob(ix *Index, w io.Writer) error {
 	_, err := ix.live.Load().trie.WriteTo(w)
 	return err
+}
+
+// HoldFolds keeps background folds of the delta runs from starting,
+// waiting out one that is running, until ReleaseFolds: mutations then leave
+// the overlay exactly as they made it, many runs and removed polygons'
+// cells included.
+func HoldFolds(ix *Index) { ix.foldMu.Lock() }
+
+// ReleaseFolds folds whatever the delta overlay needs, so it returns with
+// at most one run holding no removed polygon's cells (unless a concurrent
+// mutation added more), and lets background folds start again.
+func ReleaseFolds(ix *Index) { ix.foldLocked() }
+
+// AwaitFold waits for the background fold, if one is running, and then
+// folds whatever the overlay still needs, like ReleaseFolds.
+func AwaitFold(ix *Index) {
+	HoldFolds(ix)
+	ReleaseFolds(ix)
+}
+
+// CompactDuringFold builds a fold from the live overlay, then runs a
+// compaction and mutate (which may mutate the index) before installing it,
+// so the fold is in flight across the compaction's Rebase and lands on
+// whatever residual the mutations left. It reports whether the fold landed.
+// The caller holds folds (HoldFolds), so no background fold interferes.
+func CompactDuringFold(ctx context.Context, ix *Index, mutate func()) (landed bool, err error) {
+	f, err := ix.live.Load().ov.Fold()
+	if err != nil {
+		return false, err
+	}
+	if err := ix.Compact(ctx); err != nil {
+		return false, err
+	}
+	mutate()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ep := ix.live.Load()
+	ov, landed := ep.ov.WithFold(f)
+	if landed {
+		ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
+	}
+	return landed, nil
 }

@@ -37,10 +37,13 @@ func fuzzProbes() []LatLng {
 
 // FuzzDeltaMerge interprets the input bytes as a mutation schedule over a
 // tiny index — inserts from the pool, removes of arbitrary ids, explicit
-// compactions — and checks the mutation layer's core invariant at the end
-// of every schedule: merged base+delta lookups (scalar and batch, widths 1
-// and 8) and exact refinements equal a from-scratch rebuild over the
-// surviving polygon set. Invalid operations (removing an unknown id,
+// compactions, folds of the delta runs, and compactions racing an in-flight
+// fold — and checks the mutation layer's core invariant at the end of every
+// schedule: merged base+delta lookups (scalar and batch, widths 1 and 8)
+// and exact refinements equal a from-scratch rebuild over the surviving
+// polygon set. Background folds are held off for the whole schedule, so
+// the runs and lingering cells of removed delta polygons are exactly what
+// the schedule made them, and a failing input replays. Invalid operations (removing an unknown id,
 // inserting with an exhausted pool) must fail cleanly, never corrupt state.
 func FuzzDeltaMerge(f *testing.F) {
 	f.Add([]byte{})
@@ -49,6 +52,9 @@ func FuzzDeltaMerge(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x80, 0x01, 0x42, 0x80}) // mixed with compactions
 	f.Add([]byte{0x41, 0x41, 0x7F})                   // double remove, bogus remove
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x80, 0x40, 0x43, 0x80, 0x00})
+	f.Add([]byte{0x00, 0x01, 0xC0, 0x42, 0x00})       // remove a folded delta polygon
+	f.Add([]byte{0x00, 0x01, 0x42, 0xE0, 0x00, 0x43}) // compact and insert while a fold is in flight
+	f.Add([]byte{0x00, 0xC0, 0x01, 0x02, 0x43})       // folded run plus newer runs, one removed
 
 	pool := fuzzPool()
 	probes := fuzzProbes()
@@ -63,21 +69,26 @@ func FuzzDeltaMerge(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		HoldFolds(idx)
+		defer ReleaseFolds(idx)
 		live := map[uint32]*Polygon{0: pool[0], 1: pool[1]}
 		nextPool := 2
+		insert := func(op byte) {
+			p := pool[(nextPool+int(op))%len(pool)]
+			id, err := idx.Insert(ctx, p)
+			if err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+			if _, dup := live[id]; dup {
+				t.Fatalf("id %d reused", id)
+			}
+			live[id] = p
+			nextPool++
+		}
 		for _, op := range schedule {
 			switch {
 			case op < 0x40: // insert the next pool polygon (wrapping)
-				p := pool[(nextPool+int(op))%len(pool)]
-				id, err := idx.Insert(ctx, p)
-				if err != nil {
-					t.Fatalf("insert: %v", err)
-				}
-				if _, dup := live[id]; dup {
-					t.Fatalf("id %d reused", id)
-				}
-				live[id] = p
-				nextPool++
+				insert(op)
 			case op < 0x80: // remove id (op & 0x3f); may be bogus
 				id := uint32(op & 0x3f)
 				err := idx.Remove(ctx, id)
@@ -85,9 +96,23 @@ func FuzzDeltaMerge(f *testing.F) {
 					t.Fatalf("remove %d: live=%v err=%v", id, ok, err)
 				}
 				delete(live, id)
-			default: // compact
+			case op < 0xC0: // compact
 				if err := idx.Compact(ctx); err != nil {
 					t.Fatalf("compact: %v", err)
+				}
+			case op < 0xE0: // fold the delta runs
+				ReleaseFolds(idx)
+				HoldFolds(idx)
+				if ds := idx.DeltaStats(); ds.Runs > 1 {
+					t.Fatalf("%d delta runs after a fold", ds.Runs)
+				}
+			default: // compact, then insert, with a fold in flight
+				landed, err := CompactDuringFold(ctx, idx, func() { insert(op) })
+				if err != nil {
+					t.Fatalf("compact during fold: %v", err)
+				}
+				if landed {
+					t.Fatal("a fold built before a compaction landed after it")
 				}
 			}
 		}

@@ -174,17 +174,11 @@ func build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
 	}
 	t.levels = int(t.bits) / 2
 	t.maxDepth = (2*cellid.MaxLevel - 1) / int(t.bits)
-	// Pre-size the arena from the covering: every interior node holds at
-	// least one child pointer or terminal entry, and cells dominate the
-	// entry population, so NumCells bounds the node count at fanout 4 and
-	// overshoots it by roughly fanout/4 at higher fanouts. Seeding the
-	// capacity at cells/(fanout/4) lands within a doubling or two of the
-	// final size on census-scale inputs, and allocNode grows geometrically
-	// from there, so arena growth never degenerates into repeated
-	// full-arena copies.
-	hint := uint64(sc.NumCells())/(uint64(cfg.Fanout)/4) + 2
-	t.nodes = make([]uint64, t.fanout, hint*uint64(t.fanout)) // node 0: sentinel
+	// Size the arena once, exactly: a node arena several times the
+	// finished trie's size is the build's largest allocation, and growing
+	// it by doubling would keep the old and the new copy live together.
 	t.computeRootSkips(sc)
+	t.nodes = make([]uint64, t.fanout, t.countNodes(sc)*uint64(t.fanout)) // node 0: sentinel
 	b := builder{t: t, tableIndex: make(map[string]uint32), noInline: cfg.DisableInlining}
 	for i := 0; i < sc.NumCells(); i++ {
 		if err := b.insert(sc.Cell(i), sc.Refs(i)); err != nil {
@@ -231,6 +225,39 @@ func (t *Trie) computeRootSkips(sc *supercover.SuperCovering) {
 		}
 		lo = hi
 	}
+}
+
+// countNodes returns the number of nodes insert allocates for sc, the
+// sentinel included. The cells are sorted by id within each face, so a node
+// a cell's path shares with any earlier cell it shares with the cell just
+// before it (a cell between the two would have to be an ancestor of that
+// node's region, which prefix-freeness rules out): each cell adds the path
+// nodes below its longest common node-aligned prefix with its predecessor.
+// Call after computeRootSkips.
+func (t *Trie) countNodes(sc *supercover.SuperCovering) uint64 {
+	nodes := uint64(1)
+	prevFace, prevDepth := -1, 0
+	var prevKey uint64
+	for i := 0; i < sc.NumCells(); i++ {
+		cell := sc.Cell(i)
+		face := cell.Face()
+		skip := t.rootSkip[face]
+		key := cell.PathBits() << 4 << skip
+		// A face cell denormalizes to its four children, which sit in the
+		// root; every other cell descends (totalBits-1)/bits child nodes.
+		depth := 0
+		if level := cell.Level(); level > 0 {
+			depth = (2*level - int(skip) - 1) / int(t.bits)
+		}
+		if face != prevFace {
+			nodes++ // the face's root
+			prevDepth = 0
+		}
+		shared := min(depth, prevDepth, bits.LeadingZeros64(key^prevKey)/int(t.bits))
+		nodes += uint64(depth - shared)
+		prevFace, prevDepth, prevKey = face, depth, key
+	}
+	return nodes
 }
 
 // builder holds build-only state (the lookup-table dedup map).
@@ -312,10 +339,11 @@ func (b *builder) insert(cell cellid.ID, refs []supercover.Ref) error {
 	return nil
 }
 
-// allocNode appends a zeroed node to the arena and returns its index. The
-// arena grows geometrically (doubling) when the pre-sized capacity from
-// Build runs out; extending within capacity reuses memory that has never
-// been written past len, so the new node needs no explicit clearing.
+// allocNode appends a zeroed node to the arena and returns its index.
+// Build sizes the arena exactly (countNodes), so extending within capacity
+// is the rule and reuses memory never written past len, needing no
+// clearing; the geometric growth path only serves inputs insert rejects
+// partway, which countNodes does not model.
 func (t *Trie) allocNode() uint64 {
 	idx := uint64(len(t.nodes) / t.fanout)
 	if cap(t.nodes)-len(t.nodes) < t.fanout {

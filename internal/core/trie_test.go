@@ -399,3 +399,49 @@ func TestDisableInlining(t *testing.T) {
 		t.Errorf("results differ: %+v vs %+v", r1, r2)
 	}
 }
+
+// TestBuildSizesArenaExactly: countNodes predicts the node count of every
+// build, so the arena is allocated once, with no growth copy and no slack.
+func TestBuildSizesArenaExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	scs := []*supercover.SuperCovering{buildSC(t, map[uint32]struct{ boundary, interior []cellid.ID }{
+		1: {interior: []cellid.ID{cellid.FromFace(4)}},
+		2: {boundary: []cellid.ID{cellid.FromFaceIJ(1, 5, 7).Parent(cellid.MaxLevel)}},
+	})}
+	for trial := 0; trial < 30; trial++ {
+		polys := map[uint32]struct{ boundary, interior []cellid.ID }{}
+		for p := 0; p < 1+rng.Intn(8); p++ {
+			var entry struct{ boundary, interior []cellid.ID }
+			// Cells clustered under one random ancestor, so the faces
+			// get root skips and the paths share nodes.
+			anc := cellid.FromFaceIJ(rng.Intn(3), rng.Intn(cellid.MaxSize), rng.Intn(cellid.MaxSize)).Parent(rng.Intn(12))
+			for c := 0; c < 1+rng.Intn(40); c++ {
+				leaf := cellid.FromFaceIJ(anc.Face(), rng.Intn(cellid.MaxSize), rng.Intn(cellid.MaxSize))
+				if trial%2 == 0 {
+					span := uint64(anc.RangeMax()-anc.RangeMin()) / 2
+					leaf = cellid.ID(uint64(anc.RangeMin()) + 2*uint64(rng.Int63n(int64(span+1))))
+				}
+				cell := leaf.Parent(1 + rng.Intn(cellid.MaxLevel))
+				if rng.Intn(2) == 0 {
+					entry.boundary = append(entry.boundary, cell)
+				} else {
+					entry.interior = append(entry.interior, cell)
+				}
+			}
+			polys[uint32(p)] = entry
+		}
+		scs = append(scs, buildSC(t, polys))
+	}
+	for i, sc := range scs {
+		for _, f := range fanouts {
+			trie, err := build(sc, Config{Fanout: f})
+			if err != nil {
+				t.Fatalf("covering %d fanout %d: %v", i, f, err)
+			}
+			if len(trie.nodes) != cap(trie.nodes) {
+				t.Fatalf("covering %d fanout %d: built %d nodes into an arena sized for %d",
+					i, f, len(trie.nodes)/f, cap(trie.nodes)/f)
+			}
+		}
+	}
+}

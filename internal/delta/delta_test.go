@@ -201,3 +201,151 @@ func TestOverlayResolveRouting(t *testing.T) {
 		t.Fatal("tombstoned id contains")
 	}
 }
+
+// TestOverlayRunsShared pins the cost model: an insert builds a run over
+// its own covering and shares every run before it, and removing a base id
+// shares every run and the polygon list — nothing is rebuilt.
+func TestOverlayRunsShared(t *testing.T) {
+	f := newFixture(t, 10)
+	o1, err := (*Overlay)(nil).WithInsert(16, f.polys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2, err := o1.WithInsert(16, f.polys[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	o3, err := o2.WithInsert(16, f.polys[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o3.Runs() != 3 || o3.built != 3 {
+		t.Fatalf("three inserts: %d runs over %d polygons, want 3/3", o3.Runs(), o3.built)
+	}
+	for i, r := range o2.runs {
+		if o3.runs[i].trie != r.trie {
+			t.Fatalf("insert rebuilt run %d", i)
+		}
+	}
+	if o2.Runs() != 2 || o1.Runs() != 1 {
+		t.Fatalf("insert modified its receiver: %d and %d runs", o1.Runs(), o2.Runs())
+	}
+
+	o4, err := o3.WithRemove(16, 2, 4) // base id
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range o3.runs {
+		if o4.runs[i].trie != r.trie {
+			t.Fatalf("base remove rebuilt run %d", i)
+		}
+	}
+	if &o4.polys[0] != &o3.polys[0] || len(o4.polys) != len(o3.polys) {
+		t.Fatal("base remove copied the delta polygons")
+	}
+	if o3.Tombstoned(2) || !o4.Tombstoned(2) {
+		t.Fatal("base remove must tombstone in the successor only")
+	}
+	if o4.NeedsFold() != o3.NeedsFold() {
+		t.Fatal("base remove changed whether a fold is needed")
+	}
+	if got := lookupIDs(t, o4, f.leaves[1]); len(got) != 1 || got[0] != 11 {
+		t.Fatalf("leaf 1 matched %v, want [11]", got)
+	}
+
+	// Removing a delta polygon leaves its cells in their run, filtered.
+	o5, err := o4.WithRemove(16, 11, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o5.runs[1].trie != o4.runs[1].trie || o5.HasPolygon(11) || o5.NumPolygons() != 2 {
+		t.Fatal("delta remove should share the runs and drop the polygon")
+	}
+	if got := lookupIDs(t, o5, f.leaves[1]); len(got) != 0 {
+		t.Fatalf("removed delta polygon still matches: %v", got)
+	}
+}
+
+// TestOverlayFold checks that a fold collapses the runs it was built from
+// into one, keeps runs appended since, sheds removed polygons' cells, and
+// is dropped once a Rebase replaced its runs.
+func TestOverlayFold(t *testing.T) {
+	f := newFixture(t, 10)
+	var o *Overlay
+	if o.NeedsFold() {
+		t.Fatal("nil overlay needs no fold")
+	}
+	for _, p := range f.polys[:2] {
+		var err error
+		if o, err = o.WithInsert(16, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o, err := o.WithRemove(16, 10, 3) // a delta polygon: its cells linger
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.NeedsFold() {
+		t.Fatal("two runs need a fold")
+	}
+	fold, err := o.Fold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A mutation lands between the fold's snapshot and its installation.
+	later, err := o.WithInsert(16, f.polys[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded, ok := later.WithFold(fold)
+	if !ok {
+		t.Fatal("fold over the current runs was refused")
+	}
+	if folded.Runs() != 2 || folded.runs[1].trie != later.runs[2].trie {
+		t.Fatalf("fold left %d runs; want the folded run plus the newer one", folded.Runs())
+	}
+	if folded.built != 2 || folded.NumPolygons() != 2 || folded.Tombstoned(10) != true {
+		t.Fatalf("folded overlay: built %d, %d polygons", folded.built, folded.NumPolygons())
+	}
+	for i, leaf := range f.leaves {
+		want := []uint32{10 + uint32(i)}
+		if i == 0 {
+			want = nil
+		}
+		if got := lookupIDs(t, folded, leaf); len(got) != len(want) || (len(want) > 0 && got[0] != want[0]) {
+			t.Fatalf("leaf %d matched %v, want %v", i, got, want)
+		}
+	}
+	again, err := folded.Fold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean, ok := folded.WithFold(again); !ok || clean.Runs() != 1 || clean.NeedsFold() {
+		t.Fatalf("second fold: ok=%v runs=%d", ok, clean.Runs())
+	}
+
+	// A compaction rebased the overlay in between: the fold is stale.
+	rebased, err := later.Rebase(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := rebased.WithFold(fold); ok || got != rebased {
+		t.Fatal("a fold over replaced runs must be dropped")
+	}
+	// Folding away every delta polygon leaves only the tombstones.
+	gone, err := folded.WithRemove(16, 11, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gone, err = gone.WithRemove(16, 12, 7); err != nil {
+		t.Fatal(err)
+	}
+	last, err := gone.Fold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, ok := gone.WithFold(last)
+	if !ok || empty.Runs() != 0 || empty.NumTombstones() != 3 || empty.NeedsFold() {
+		t.Fatalf("fold of a fully removed delta: ok=%v runs=%d tombs=%d", ok, empty.Runs(), empty.NumTombstones())
+	}
+}

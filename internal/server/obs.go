@@ -167,6 +167,12 @@ func (m *Metrics) registerIndexGauges(indexes *act.Swappable) {
 	r.GaugeFunc("act_index_tombstones", "Tombstoned polygon ids pending compaction.", func() float64 {
 		return float64(indexes.Load().DeltaStats().Tombstones)
 	})
+	r.GaugeFunc("act_index_delta_runs", "Delta tries a lookup probes (at most 1 once the background fold caught up).", func() float64 {
+		return float64(indexes.Load().DeltaStats().Runs)
+	})
+	r.CounterFunc("act_delta_folds_total", "Background folds of the delta runs into one trie (restarts with the serving index on /reload).", func() float64 {
+		return float64(indexes.Load().DeltaStats().Folds)
+	})
 	r.GaugeFunc("act_index_generation", "Index swap generation (1 = startup index; each /reload increments).", func() float64 {
 		_, gen := indexes.LoadGeneration()
 		return float64(gen)

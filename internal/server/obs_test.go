@@ -6,6 +6,8 @@ package server
 // Retry-After and a rejection counter.
 
 import (
+	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"github.com/actindex/act"
 	"github.com/actindex/act/internal/fault"
@@ -212,5 +215,58 @@ func TestMetricsUnknownRoute(t *testing.T) {
 	}
 	if got := metricValue(t, s, `act_http_requests_total{route="other",method="GET",code="404"}`); got != 1 {
 		t.Errorf("other-route counter = %v, want 1", got)
+	}
+}
+
+// TestMetricsDeltaRunsGolden pins the exposition of the delta-run families:
+// every insert appends a delta run, the background fold collapses them, and
+// /metrics agrees with /stats once it has.
+func TestMetricsDeltaRunsGolden(t *testing.T) {
+	s, idx := testServer(t)
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		lat := 40.71 + 0.01*float64(i)
+		p := &act.Polygon{Outer: []act.LatLng{
+			{Lat: lat, Lng: -74.00}, {Lat: lat, Lng: -73.99},
+			{Lat: lat + 0.005, Lng: -73.99}, {Lat: lat + 0.005, Lng: -74.00},
+		}}
+		if _, err := idx.Insert(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var st statsResponse
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.DeltaRuns <= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delta runs never folded: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st.DeltaRuns != 1 || st.Folds == 0 || st.DeltaPolygons != 3 {
+		t.Fatalf("/stats after the fold: runs %d, folds %d, delta polygons %d", st.DeltaRuns, st.Folds, st.DeltaPolygons)
+	}
+
+	var block []string
+	for _, line := range strings.Split(get(t, s, "/metrics").Body.String(), "\n") {
+		if strings.Contains(line, "act_index_delta_runs") || strings.Contains(line, "act_delta_folds_total") {
+			block = append(block, line)
+		}
+	}
+	want := []string{
+		"# HELP act_index_delta_runs Delta tries a lookup probes (at most 1 once the background fold caught up).",
+		"# TYPE act_index_delta_runs gauge",
+		"act_index_delta_runs 1",
+		"# HELP act_delta_folds_total Background folds of the delta runs into one trie (restarts with the serving index on /reload).",
+		"# TYPE act_delta_folds_total counter",
+		"act_delta_folds_total " + strconv.FormatUint(st.Folds, 10),
+	}
+	if got := strings.Join(block, "\n"); got != strings.Join(want, "\n") {
+		t.Errorf("delta-run exposition:\n--- got ---\n%s\n--- want ---\n%s", got, strings.Join(want, "\n"))
 	}
 }

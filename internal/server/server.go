@@ -890,11 +890,15 @@ type statsResponse struct {
 	// tombstones); NumPolygons reports the base build's count.
 	LivePolygons int `json:"livePolygons"`
 	// DeltaPolygons and Tombstones describe the pending mutation layer;
-	// Compactions counts background delta-into-base folds completed on
-	// the live index.
+	// Compactions counts background delta-into-base compactions completed
+	// on the live index. DeltaRuns is the number of delta tries a lookup
+	// probes now (at most 1 once the background fold has caught up), and
+	// Folds counts the folds that collapsed them.
 	DeltaPolygons int    `json:"deltaPolygons"`
 	Tombstones    int    `json:"tombstones"`
 	Compactions   uint64 `json:"compactions"`
+	DeltaRuns     int    `json:"deltaRuns"`
+	Folds         uint64 `json:"folds"`
 	// WALEnabled reports whether the live index has a write-ahead log; the
 	// fields after it are zero/-1 when it does not.
 	WALEnabled bool `json:"walEnabled"`
@@ -992,6 +996,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		DeltaPolygons:           ds.DeltaPolygons,
 		Tombstones:              ds.Tombstones,
 		Compactions:             ds.Compactions,
+		DeltaRuns:               ds.Runs,
+		Folds:                   ds.Folds,
 		WALEnabled:              ws.Enabled,
 		WALSeq:                  ws.Seq,
 		WALBytes:                ws.Bytes,

@@ -22,17 +22,19 @@ import (
 // Live index mutation.
 //
 // The index absorbs polygon churn LSM-style: Insert covers the new polygon
-// with the index's own coverer and adds it to a small delta layer (its own
-// trie plus the projected geometry); Remove tombstones the id. Every
-// lookup — scalar, batch, and interleaved — merges base and delta:
-// tombstoned ids are filtered from the base trie's result, delta references
-// appended after it. When the pending-mutation count crosses the
-// compaction threshold, a background compactor reruns the full build
+// with the index's own coverer and appends it to the delta layer as a run of
+// its own (a trie over its covering, plus the projected geometry); Remove
+// tombstones the id. Every lookup — scalar, batch, and interleaved — merges
+// base and delta: the runs' references are appended to the base trie's
+// result and tombstoned ids filtered out. A background fold collapses the
+// runs back into one delta trie after every mutation that left more than
+// one, so reads at rest probe one. When the pending-mutation count crosses
+// the compaction threshold, a background compactor reruns the full build
 // pipeline over the surviving polygon set (original ids kept, removed ids
-// left as holes) and swings the fresh base in atomically through the
-// index's epoch Holder — readers never block, and an in-flight join keeps
-// the epoch it loaded for its whole run. Mutations that land while the
-// compactor runs survive as a residual overlay on the new base.
+// left as holes) and swings the fresh base in atomically through the index's
+// epoch Holder — readers never block, and an in-flight join keeps the epoch
+// it loaded for its whole run. Mutations that land while the compactor runs
+// survive as a residual overlay on the new base.
 
 // Mutation errors.
 var (
@@ -64,6 +66,13 @@ type DeltaStats struct {
 	Threshold int
 	// Compactions counts completed compactions over the index lifetime.
 	Compactions uint64
+	// Runs is the number of delta tries a lookup probes now: one per
+	// mutation (or replicated batch) since the last fold, and at most one
+	// once the background fold has caught up.
+	Runs int
+	// Folds counts the background folds that collapsed the delta runs
+	// over the index lifetime.
+	Folds uint64
 	// LivePolygons is the current live polygon count (NumPolygons).
 	LivePolygons int
 }
@@ -78,6 +87,8 @@ func (ix *Index) DeltaStats() DeltaStats {
 		Pending:       ep.ov.Pending(),
 		Threshold:     ix.deltaThreshold,
 		Compactions:   ix.compactions.Load(),
+		Runs:          ep.ov.Runs(),
+		Folds:         ix.folds.Load(),
 		LivePolygons:  ix.NumPolygons(),
 	}
 }
@@ -96,7 +107,7 @@ func (ix *Index) Mutable() bool { return ix.mutable && !ix.follower }
 func (ix *Index) IsDelta(id uint32) bool { return ix.live.Load().ov.HasPolygon(id) }
 
 // Epoch returns the generation of the serving state: it advances on every
-// Insert, Remove, and compaction, so operators can observe mutation
+// Insert, Remove, fold, and compaction, so operators can observe mutation
 // progress the way Swappable generations expose index swaps.
 func (ix *Index) Epoch() uint64 { return ix.live.Generation() }
 
@@ -107,9 +118,14 @@ func (ix *Index) Epoch() uint64 { return ix.live.Generation() }
 // and folded into the base trie by the next compaction. Concurrent lookups
 // and joins are never blocked: they keep the epoch they loaded, and the
 // new polygon becomes visible to operations that start after Insert
-// returns. Inserts are serialized with other mutations; the covering
-// computation (the dominant cost) runs under that lock, so sustained bulk
-// loads should prefer a rebuild via [Swappable].
+// returns. Inserts are serialized with other mutations. Under that lock an
+// insert builds nothing over the pending delta: it covers the polygon,
+// builds a small trie over that covering alone and appends it to the delta
+// layer as a run, and appends to the WAL (with an fsync under SyncAlways,
+// often the largest share). Only a flat copy of the pending polygon list
+// (32 bytes a polygon) grows with the delta. Collapsing the runs back into
+// one delta trie is left to a background fold. Sustained bulk loads should
+// still prefer a rebuild via [Swappable].
 //
 // Reports ErrImmutable on a deserialized index.
 func (ix *Index) Insert(ctx context.Context, p *Polygon) (uint32, error) {
@@ -174,6 +190,7 @@ func (ix *Index) Insert(ctx context.Context, p *Polygon) (uint32, error) {
 	ix.liveCount.Add(1)
 	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
 	ix.maybeCompact(ov)
+	ix.maybeFold(ov)
 	return id, nil
 }
 
@@ -181,6 +198,10 @@ func (ix *Index) Insert(ctx context.Context, p *Polygon) (uint32, error) {
 // is tombstoned: lookups that start after Remove returns stop reporting
 // it, in-flight operations keep the epoch they loaded, and the next
 // compaction rebuilds the base without it (the id itself is never reused).
+// Nothing is rebuilt under the mutation lock: removing a base polygon
+// copies the tombstone set only, and removing a delta polygon also copies
+// the pending polygon list without it; its cells stay in their run,
+// filtered by the tombstone, until the background fold.
 //
 // Reports ErrUnknownPolygon for ids never assigned or already removed, and
 // ErrImmutable on a deserialized index.
@@ -224,7 +245,60 @@ func (ix *Index) Remove(ctx context.Context, id uint32) error {
 	ix.liveCount.Add(-1)
 	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
 	ix.maybeCompact(ov)
+	ix.maybeFold(ov)
 	return nil
+}
+
+// maybeFold, called under ix.mu after a mutation published ov, starts the
+// background fold when ov leaves lookups probing more than one delta run
+// or a run holding a removed polygon's cells. At most one fold runs at a
+// time, and it keeps folding until the overlay it finds is clean, so a
+// trigger that finds it running is folded by it.
+func (ix *Index) maybeFold(ov *delta.Overlay) {
+	if !ov.NeedsFold() || !ix.foldMu.TryLock() {
+		return
+	}
+	go ix.foldLocked()
+}
+
+// foldLocked collapses the live overlay's runs into one until the overlay
+// needs no fold. The caller holds foldMu; foldLocked releases it under
+// ix.mu, at the moment it finds the overlay clean, so every mutation
+// publishing a dirty overlay either finds foldMu free and starts a fold or
+// is picked up by this loop. Each round snapshots the overlay under ix.mu,
+// builds the folded run without the lock, and swaps it in under ix.mu for
+// the runs it covers, keeping runs appended meanwhile; a fold whose runs a
+// compaction replaced in between is dropped. A failed build (it cannot
+// happen for coverings the overlay already built once) leaves the runs
+// serving correctly.
+func (ix *Index) foldLocked() {
+	for {
+		ix.mu.Lock()
+		snap := ix.live.Load().ov
+		if !snap.NeedsFold() {
+			ix.foldMu.Unlock()
+			ix.mu.Unlock()
+			return
+		}
+		ix.mu.Unlock()
+
+		f, err := snap.Fold()
+
+		ix.mu.Lock()
+		if err != nil {
+			ix.foldMu.Unlock()
+			ix.mu.Unlock()
+			return
+		}
+		ep := ix.live.Load()
+		if ov, ok := ep.ov.WithFold(f); ok {
+			// Count first, so a reader that sees the folded overlay also
+			// sees the fold counted (DeltaStats reads both without ix.mu).
+			ix.folds.Add(1)
+			ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
+		}
+		ix.mu.Unlock()
+	}
 }
 
 // maybeCompact, called under ix.mu after a mutation published ov, starts a

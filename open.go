@@ -180,9 +180,12 @@ func (ix *Index) Mapped() bool { return ix.mapped != nil }
 func (ix *Index) Close() error {
 	// A background compaction may still be walking the file-mapped arena
 	// and rotating the log; serialize with it so neither resource is torn
-	// away mid-use.
+	// away mid-use. A background fold touches neither, but waiting for it
+	// leaves no goroutine of the index running after Close.
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
+	ix.foldMu.Lock()
+	defer ix.foldMu.Unlock()
 	var err error
 	if ix.wal != nil {
 		err = ix.wal.Close()

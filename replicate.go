@@ -77,16 +77,17 @@ func (ix *Index) AppliedSeq() uint64 {
 
 // ApplyReplicated applies one batch of primary log records to a follower.
 // The records are decoded and covered by the same rules as WAL replay, and
-// the whole batch lands as a single overlay rebuild and epoch swing — a
-// reader sees either none or all of it, and batch size amortizes the delta
-// trie construction during catch-up. Application is idempotent against the
-// follower's state (an insert whose id already exists and a remove of a
-// dead id are skipped; checkpoint records are rotation markers and carry
-// no mutation), so a replay overlap after a reconnect or re-bootstrap is
-// absorbed, while an insert that would leave an id gap — a hole in the
-// stream — is corruption and fails the batch. On error nothing is
-// published: the follower keeps its last consistent state and the caller
-// re-syncs from it.
+// the whole batch lands as one epoch swing — a reader sees either none or
+// all of it. The batch's inserts become one new delta run built from their
+// coverings alone, which the background fold merges into the rest as it does
+// for a primary's inserts, so catch-up cost does not grow with the pending
+// delta. Application is idempotent against the follower's state (an insert
+// whose id already exists and a remove of a dead id are skipped; checkpoint
+// records are rotation markers and carry no mutation), so a replay overlap
+// after a reconnect or re-bootstrap is absorbed, while an insert that would
+// leave an id gap — a hole in the stream — is corruption and fails the
+// batch. On error nothing is published: the follower keeps its last
+// consistent state and the caller re-syncs from it.
 func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -103,19 +104,11 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 		return errors.New("act: index is being promoted; stream application is closed")
 	}
 
-	// Merge the batch into a copy of the overlay's contents; the overlay
-	// itself is an immutable snapshot readers may still hold.
+	// Collect the batch's inserts and removals for one overlay batch; the
+	// overlay itself is an immutable snapshot readers may still hold.
 	ep := ix.live.Load()
-	base := ep.ov.Polys()
-	polys := make([]delta.Poly, len(base), len(base)+len(records))
-	copy(polys, base)
-	var tombs map[uint32]uint64
-	if old := ep.ov.Tombstones(); len(old) > 0 {
-		tombs = make(map[uint32]uint64, len(old))
-		for id, seq := range old {
-			tombs[id] = seq
-		}
-	}
+	var ins []delta.Poly
+	var rm map[uint32]uint64
 	// Work on a copy of the liveness column too: a batch that fails
 	// mid-way must leave no trace, or the re-streamed remove would be
 	// skipped as already-dead and its tombstone lost.
@@ -155,7 +148,7 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 					return fmt.Errorf("act: replicated record %d (insert %d): %w", i, rec.ID, err)
 				}
 			}
-			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
+			ins = append(ins, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
 			alive = append(alive, true)
 			live++
 			changed = true
@@ -165,18 +158,10 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 			}
 			alive[rec.ID] = false
 			live--
-			// Mirror Overlay.WithRemove: a removed delta polygon is dropped
-			// from the delta set, the tombstone kept either way.
-			for j, dp := range polys {
-				if dp.ID == rec.ID {
-					polys = append(polys[:j], polys[j+1:]...)
-					break
-				}
+			if rm == nil {
+				rm = make(map[uint32]uint64)
 			}
-			if tombs == nil {
-				tombs = make(map[uint32]uint64)
-			}
-			tombs[rec.ID] = rec.Seq
+			rm[rec.ID] = rec.Seq
 			changed = true
 		default:
 			return fmt.Errorf("act: replicated record %d: unexpected record type %d", i, rec.Type)
@@ -189,7 +174,7 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 		ix.seq = applied // pure overlap: just advance the position
 		return nil
 	}
-	ov, err := delta.New(ix.pl.fanout, polys, tombs)
+	ov, err := ep.ov.WithBatch(ix.pl.fanout, ins, rm)
 	if err != nil {
 		return err
 	}
@@ -199,5 +184,6 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 	ix.liveCount.Store(live)
 	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
 	ix.maybeCompact(ov)
+	ix.maybeFold(ov)
 	return nil
 }

@@ -127,7 +127,10 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 	check("first apply")
 
 	// Idempotency: re-applying the whole batch, or any prefix of it, is a
-	// pure overlap — state identical, not even an epoch swing.
+	// pure overlap — state identical, not even an epoch swing. The first
+	// apply may have started a background fold, which advances the epoch
+	// on its own, so let it land first.
+	act.AwaitFold(fol)
 	epoch := fol.Epoch()
 	for _, overlap := range [][]wal.Record{records, records[:3], nil} {
 		if err := fol.ApplyReplicated(ctx, overlap); err != nil {
